@@ -1,11 +1,12 @@
 //! Chaos campaigns on the command line: run N seeded randomized fault
 //! schedules against a mix of objects (Counter, buffered GSet, Bank),
-//! check convergence + integrity + trace invariants, and shrink any
-//! failing schedule to a minimal paste-able repro.
+//! or against one object, check convergence + integrity + trace
+//! invariants, and shrink any failing schedule to a minimal paste-able
+//! repro.
 //!
 //! ```text
 //! chaos [--seeds N] [--start S] [--nodes N] [--ops N] [--max-faults N]
-//!       [--seed S] [--restarts] [--canary]
+//!       [--seed S] [--object O] [--restarts] [--canary]
 //! ```
 //!
 //! * `--seeds N`     number of campaign cases (default 100)
@@ -14,6 +15,10 @@
 //! * `--nodes N`     cluster size (default 4)
 //! * `--ops N`       calls per case (default 300)
 //! * `--max-faults N` schedule length cap (default 6)
+//! * `--object O`    run every seed against one object: `counter`,
+//!   `gset-buffered`, `gset` (reducible, appending summaries) or
+//!   `bank`; without it the object is chosen by `seed % 3` among
+//!   counter, gset-buffered and bank
 //! * `--restarts`    pair every generated crash with a later restart
 //!   (half of them losing unfenced writes); such cases run with the
 //!   persist log enabled and exercise crash-restart recovery + rejoin
@@ -26,7 +31,7 @@
 //! Exit code: 0 iff the campaign is clean (or, with the canary armed,
 //! iff the canary was caught and every repro shrank to <= 3 entries).
 
-use hamband_bench::cli::{argv, bool_flag, num_flag};
+use hamband_bench::cli::{argv, bool_flag, num_flag, str_flag};
 use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
@@ -66,19 +71,31 @@ where
     CaseResult { failed: true, shrunk_len: Some(minimal.len()) }
 }
 
-/// One seed against the seed-selected object: campaigns interleave a
-/// reducible type (Counter), an irreducible conflict-free one
-/// (buffered GSet), and a conflicting one (Bank) so all three issue
-/// paths face the fault schedules.
-fn dispatch(seed: u64, opts: &ChaosOptions) -> CaseResult {
-    match seed % 3 {
-        0 => {
+/// Objects `--object` accepts.
+const OBJECTS: [&str; 4] = ["counter", "gset-buffered", "gset", "bank"];
+
+/// One seed against `object`, or by default against the seed-selected
+/// object: default campaigns interleave a reducible type (Counter), an
+/// irreducible conflict-free one (buffered GSet), and a conflicting
+/// one (Bank) so all three issue paths face the fault schedules.
+fn dispatch(seed: u64, object: Option<&str>, opts: &ChaosOptions) -> CaseResult {
+    let object = object.unwrap_or(match seed % 3 {
+        0 => "counter",
+        1 => "gset-buffered",
+        _ => "bank",
+    });
+    match object {
+        "counter" => {
             let c = Counter::default();
             run_one("counter", &c, &c.coord_spec(), seed, opts)
         }
-        1 => {
+        "gset-buffered" => {
             let g = GSet::default();
             run_one("gset-buffered", &g, &g.coord_spec_buffered(), seed, opts)
+        }
+        "gset" => {
+            let g = GSet::default();
+            run_one("gset", &g, &g.coord_spec(), seed, opts)
         }
         _ => {
             let b = Bank::default();
@@ -99,6 +116,13 @@ fn main() {
     if let Some(n) = num_flag(&args, "--max-faults") {
         opts.max_faults = n as usize;
     }
+    let object = str_flag(&args, "--object");
+    if let Some(o) = object.as_deref() {
+        if !OBJECTS.contains(&o) {
+            eprintln!("unknown --object {o}; expected one of {}", OBJECTS.join(", "));
+            std::process::exit(2);
+        }
+    }
     opts.restarts = bool_flag(&args, "--restarts");
     opts.canary = bool_flag(&args, "--canary")
         || std::env::var("HAMBAND_CHAOS_CANARY").map(|v| v == "1").unwrap_or(false);
@@ -109,11 +133,12 @@ fn main() {
     };
 
     println!(
-        "chaos campaign: seeds {start}..{} | {} nodes, {} ops, <= {} faults{}{}",
+        "chaos campaign: seeds {start}..{} | {} nodes, {} ops, <= {} faults | {}{}{}",
         start + count,
         opts.nodes,
         opts.ops,
         opts.max_faults,
+        object.as_deref().unwrap_or("mixed objects"),
         if opts.restarts { " | restarts" } else { "" },
         if opts.canary { " | CANARY ARMED" } else { "" }
     );
@@ -122,7 +147,7 @@ fn main() {
     let mut failures = 0u64;
     let mut worst_repro = 0usize;
     for seed in start..start + count {
-        let r = dispatch(seed, &opts);
+        let r = dispatch(seed, object.as_deref(), &opts);
         if r.failed {
             failures += 1;
             worst_repro = worst_repro.max(r.shrunk_len.unwrap_or(0));

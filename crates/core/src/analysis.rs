@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::coord::CoordSpec;
-use crate::ids::MethodId;
+use crate::ids::{GroupId, MethodId};
 use crate::object::SpecSampler;
 use crate::relations::BoundedRelations;
 
@@ -71,6 +71,16 @@ pub enum Violation {
         /// Debug rendering of the witnessing calls.
         witness: String,
     },
+    /// Folding a sampled sequence of an appending summarization
+    /// group's calls in one record at a time disagrees with applying
+    /// their summary, so shipping only the new calls would leave
+    /// replicas in a different state than shipping the summary.
+    AppendFoldMismatch {
+        /// The summarization group.
+        group: GroupId,
+        /// Debug rendering of the witnessing call sequence.
+        witness: String,
+    },
     /// Two sampled calls of the same synchronization group with
     /// *distinct* declared shard keys conflict. The shard-key
     /// declaration ([`crate::object::ObjectSpec::shard_key`]) asserts
@@ -101,6 +111,9 @@ impl fmt::Display for Violation {
             }
             Violation::SummaryMismatch { a, b, witness } => {
                 write!(f, "summary of {a}, {b} disagrees with composition: {witness}")
+            }
+            Violation::AppendFoldMismatch { group, witness } => {
+                write!(f, "appending summarization group {group} folds differently: {witness}")
             }
             Violation::CrossKeyConflict { a, b, witness } => {
                 write!(f, "cross-key conflict between {a} and {b}: {witness}")
@@ -298,6 +311,32 @@ pub fn validate<O: SpecSampler>(
         }
     }
 
+    // Appending groups: the runtime ships and applies their calls one
+    // record at a time, so every sampled sequence must fold to the
+    // same state as its summary does.
+    for (gi, group) in coord.sum_groups().iter().enumerate() {
+        if !coord.sum_group_appends(gi) {
+            continue;
+        }
+        let calls: Vec<Vec<O::Update>> = group
+            .iter()
+            .map(|&m| sampled_calls(spec, m, cfg, m.index() as u64 + 777))
+            .collect();
+        for i in 0..cfg.call_samples {
+            // A sequence of three calls, rotating through the methods.
+            let seq: Vec<O::Update> = (0..3)
+                .map(|k| calls[(i + k) % calls.len()][(i + 5 * k) % cfg.call_samples].clone())
+                .collect();
+            if !rel.fold_sound(&seq) {
+                report.violations.push(Violation::AppendFoldMismatch {
+                    group: GroupId(gi),
+                    witness: format!("{seq:?}"),
+                });
+                break;
+            }
+        }
+    }
+
     report
 }
 
@@ -426,6 +465,78 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::SummarizationNotClosed { .. })));
+    }
+
+    /// The account with deposits "summarized" by `max`: unsound, and
+    /// so is folding them one record at a time against that summary.
+    #[derive(Debug, Clone)]
+    struct MaxSummaryAccount(Account);
+
+    impl crate::object::ObjectSpec for MaxSummaryAccount {
+        type State = i128;
+        type Update = crate::demo::AccountUpdate;
+        type Query = crate::demo::AccountQuery;
+        type Reply = i128;
+
+        fn name(&self) -> &str {
+            "max-summary-account"
+        }
+        fn initial(&self) -> i128 {
+            self.0.initial()
+        }
+        fn invariant(&self, state: &i128) -> bool {
+            self.0.invariant(state)
+        }
+        fn apply(&self, state: &i128, call: &Self::Update) -> i128 {
+            self.0.apply(state, call)
+        }
+        fn query(&self, state: &i128, query: &Self::Query) -> i128 {
+            self.0.query(state, query)
+        }
+        fn method_names(&self) -> Vec<&'static str> {
+            self.0.method_names()
+        }
+        fn method_of(&self, call: &Self::Update) -> MethodId {
+            self.0.method_of(call)
+        }
+        fn summarize(&self, a: &Self::Update, b: &Self::Update) -> Option<Self::Update> {
+            use crate::demo::AccountUpdate::Deposit;
+            match (a, b) {
+                (Deposit(x), Deposit(y)) => Some(Deposit(*x.max(y))),
+                _ => None,
+            }
+        }
+    }
+
+    impl crate::object::SpecSampler for MaxSummaryAccount {
+        fn sample_state(&self, rng: &mut rand::rngs::StdRng) -> i128 {
+            self.0.sample_state(rng)
+        }
+        fn sample_update_of(
+            &self,
+            method: MethodId,
+            rng: &mut rand::rngs::StdRng,
+        ) -> Self::Update {
+            self.0.sample_update_of(method, rng)
+        }
+    }
+
+    #[test]
+    fn appending_group_fold_is_checked() {
+        let acc = Account::new(20);
+        let sum = CoordSpec::builder(2)
+            .conflict(1, 1)
+            .depends(1, 0)
+            .appending_summarization_group([0])
+            .build();
+        // A sound summary folds soundly: appending deposits is legal.
+        let report = validate(&acc, &sum, &AnalysisConfig::default());
+        assert!(report.is_valid(), "{report}");
+        let bad = validate(&MaxSummaryAccount(acc), &sum, &AnalysisConfig::default());
+        assert!(bad.violations.iter().any(
+            |v| matches!(v, Violation::AppendFoldMismatch { group, .. } if group.index() == 0)
+        ));
+        assert!(bad.to_string().contains("folds differently"));
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //! * the **dependency** relation `Dep(u)` — which methods a method's
 //!   calls may depend on;
 //! * the **summarization groups** — sets of methods whose calls are
-//!   closed under [`crate::object::ObjectSpec::summarize`].
+//!   closed under [`crate::object::ObjectSpec::summarize`]. A group
+//!   may be declared *appending* when its summary is the union of its
+//!   calls (GSet `add_all`): the runtime then ships each call as a
+//!   record appended to the slot instead of re-shipping the whole
+//!   summary ([`CoordSpecBuilder::appending_summarization_group`]).
 //!
 //! From these it derives each method's [`MethodCategory`]:
 //!
@@ -103,6 +107,7 @@ pub struct CoordSpec {
     depends: Vec<Vec<MethodId>>,
     sum_group_of: Vec<Option<GroupId>>,
     sum_groups: Vec<Vec<MethodId>>,
+    sum_group_appends: Vec<bool>,
     sync_group_of: Vec<Option<GroupId>>,
     sync_groups: Vec<Vec<MethodId>>,
     categories: Vec<MethodCategory>,
@@ -183,6 +188,14 @@ impl CoordSpec {
     /// All summarization groups, each a sorted list of methods.
     pub fn sum_groups(&self) -> &[Vec<MethodId>] {
         &self.sum_groups
+    }
+
+    /// Whether summarization group `g` was declared appending: its
+    /// summary is the union of its calls, so the runtime ships each
+    /// new call as a record appended to the slot rather than the whole
+    /// summary again.
+    pub fn sum_group_appends(&self, g: usize) -> bool {
+        self.sum_group_appends[g]
     }
 
     /// Default leader assignment: synchronization group `g` is led by
@@ -305,7 +318,8 @@ pub struct CoordSpecBuilder {
     n_methods: usize,
     conflicts: BTreeSet<(usize, usize)>,
     depends: Vec<BTreeSet<usize>>,
-    sum_groups: Vec<BTreeSet<usize>>,
+    /// Each declared summarization group and whether it appends.
+    sum_groups: Vec<(BTreeSet<usize>, bool)>,
 }
 
 impl CoordSpecBuilder {
@@ -341,16 +355,35 @@ impl CoordSpecBuilder {
     ///
     /// Panics if a method index is out of range or already belongs to a
     /// summarization group.
-    pub fn summarization_group(mut self, methods: impl IntoIterator<Item = usize>) -> Self {
+    pub fn summarization_group(self, methods: impl IntoIterator<Item = usize>) -> Self {
+        self.push_sum_group(methods, false)
+    }
+
+    /// Declare an *appending* summarization group: the summary of its
+    /// calls is their union, so folding the calls in one at a time
+    /// gives the same state as applying their summary (the bounded
+    /// analysis checks this, see
+    /// [`crate::analysis::Violation::AppendFoldMismatch`]). Peers then
+    /// receive only the calls they have not seen yet, and they apply
+    /// exactly those.
+    ///
+    /// # Panics
+    ///
+    /// As [`summarization_group`](Self::summarization_group).
+    pub fn appending_summarization_group(self, methods: impl IntoIterator<Item = usize>) -> Self {
+        self.push_sum_group(methods, true)
+    }
+
+    fn push_sum_group(mut self, methods: impl IntoIterator<Item = usize>, appends: bool) -> Self {
         let set: BTreeSet<usize> = methods.into_iter().collect();
         for &m in &set {
             assert!(m < self.n_methods, "method out of range");
             assert!(
-                !self.sum_groups.iter().any(|g| g.contains(&m)),
+                !self.sum_groups.iter().any(|(g, _)| g.contains(&m)),
                 "method already in a summarization group"
             );
         }
-        self.sum_groups.push(set);
+        self.sum_groups.push((set, appends));
         self
     }
 
@@ -373,11 +406,13 @@ impl CoordSpecBuilder {
 
         let mut sum_group_of = vec![None; n];
         let mut sum_groups = Vec::new();
-        for (gi, grp) in self.sum_groups.iter().enumerate() {
+        let mut sum_group_appends = Vec::new();
+        for (gi, (grp, appends)) in self.sum_groups.iter().enumerate() {
             for &m in grp {
                 sum_group_of[m] = Some(GroupId(gi));
             }
             sum_groups.push(grp.iter().map(|&m| MethodId(m)).collect());
+            sum_group_appends.push(*appends);
         }
 
         let depends: Vec<Vec<MethodId>> = self
@@ -402,6 +437,7 @@ impl CoordSpecBuilder {
             depends,
             sum_group_of,
             sum_groups,
+            sum_group_appends,
             sync_group_of,
             sync_groups,
             categories,
@@ -499,6 +535,17 @@ mod tests {
         assert_eq!(red, vec![MethodId(0)]);
         assert!(free.is_empty());
         assert_eq!(conf, vec![MethodId(1)]);
+    }
+
+    #[test]
+    fn appending_groups_are_recorded_per_group() {
+        let c = CoordSpec::builder(3)
+            .summarization_group([0])
+            .appending_summarization_group([1, 2])
+            .build();
+        assert!(!c.sum_group_appends(0));
+        assert!(c.sum_group_appends(1));
+        assert!(c.category(MethodId(2)).is_reducible());
     }
 
     #[test]

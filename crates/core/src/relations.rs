@@ -181,6 +181,23 @@ impl<'a, O: SpecSampler> BoundedRelations<'a, O> {
         }
     }
 
+    /// Bounded fold soundness of a call sequence: applying `calls` one
+    /// at a time agrees, on every sampled state, with applying their
+    /// left-fold summary. Vacuously true if some step does not
+    /// summarize (closure is checked separately).
+    pub fn fold_sound(&self, calls: &[O::Update]) -> bool {
+        let Some((first, rest)) = calls.split_first() else { return true };
+        let Some(sum) =
+            rest.iter().try_fold(first.clone(), |acc, c| self.spec.summarize(&acc, c))
+        else {
+            return true;
+        };
+        self.states().all(|s| {
+            let folded = calls.iter().fold(s.clone(), |st, c| self.spec.apply(&st, c));
+            folded == self.spec.apply(&s, &sum)
+        })
+    }
+
     /// The object specification under check.
     pub fn spec(&self) -> &'a O {
         self.spec

@@ -136,6 +136,11 @@ impl Writer {
         Writer { buf }
     }
 
+    /// A writer appending to `buf`, keeping its contents.
+    pub fn extending(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// The encoded bytes.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf

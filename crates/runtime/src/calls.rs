@@ -31,6 +31,8 @@ pub(crate) enum Route {
         group: usize,
         target: NodeId,
         version: u64,
+        /// Payload length published (appending groups; 0 otherwise).
+        len: usize,
     },
     /// A commit-cell WRITE pushing the group's commit index (`commit`).
     CommitWrite { group: usize },

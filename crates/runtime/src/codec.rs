@@ -39,9 +39,33 @@
 //!               prefix of the slot, not its worst-case capacity)
 //! ```
 //!
+//! Append-mode summary slot (groups declared with
+//! [`CoordSpecBuilder::appending_summarization_group`], whose summary
+//! is the union of their calls):
+//!
+//! ```text
+//! [0..8)        version (number of calls appended)
+//! [8..8+8g)     applied-call count per method of the group
+//! [..+4)        payload length (u32 LE)
+//! [..+8)        check: 64-bit hash over the payload and the fields above
+//! [head..)      payload: the Wire encodings of the calls, in order
+//! ```
+//!
+//! The payload only ever grows, so every image of one source's slot is
+//! a byte-identical prefix of every later one. The owner ships new
+//! records as one WRITE of the payload bytes a peer lacks followed by
+//! a WRITE of the header; a reader that holds a prefix verifies the
+//! check by extending its running payload hash over the new bytes
+//! only ([`AppendCursor::advance`]). There is no trailer: an older
+//! full image (a recovery re-broadcast) rewrites prefix bytes with the
+//! same values plus its own header, and nothing it writes can land
+//! inside a newer payload.
+//!
 //! [`RuntimeConfig::entry_size`]: crate::config::RuntimeConfig::entry_size
 //! [`RuntimeConfig::summary_slot_size`]: crate::config::RuntimeConfig::summary_slot_size
+//! [`CoordSpecBuilder::appending_summarization_group`]: hamband_core::coord::CoordSpecBuilder::appending_summarization_group
 
+use hamband_core::coord::mix64;
 use hamband_core::counts::DepMap;
 use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
@@ -299,6 +323,168 @@ impl<U: Wire> SummarySlot<U> {
         };
         Some(SummarySlot { version, counts, summary })
     }
+}
+
+/// Header length of an append-mode summary slot for a group of
+/// `group_len` methods.
+pub fn append_head_len(group_len: usize) -> usize {
+    8 + 8 * group_len + 4 + 8
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// A position in an append-mode payload: how many bytes precede it
+/// and the running hash over them. The owner keeps one at the end of
+/// its own payload; a reader keeps one at the end of what it applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AppendCursor {
+    len: usize,
+    hash: u64,
+}
+
+impl Default for AppendCursor {
+    fn default() -> Self {
+        AppendCursor { len: 0, hash: FNV_OFFSET }
+    }
+}
+
+impl AppendCursor {
+    /// Payload bytes before this position.
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// Whether this is the start of the payload.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    fn extend(self, bytes: &[u8]) -> Self {
+        let hash = bytes.iter().fold(self.hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME));
+        AppendCursor { len: self.len + bytes.len(), hash }
+    }
+
+    /// The check word of a slot whose payload ends at this cursor.
+    fn check(self, version: u64, counts: &[u64]) -> u64 {
+        [version, self.len as u64].iter().chain(counts).fold(self.hash, |h, &w| mix64(h ^ w))
+    }
+
+    /// Adopt the calls between this cursor (at `version`) and `hdr`:
+    /// `delta` must be the payload bytes `[self.len(), hdr.len)`.
+    /// Returns the cursor at `hdr` and the decoded calls, or `None`
+    /// when the slot must be re-read later: the check fails (a write is
+    /// in flight or torn), or the delta does not decode into exactly
+    /// `hdr.version - version` calls.
+    pub fn advance<U: Wire>(
+        self,
+        version: u64,
+        hdr: &AppendHeader,
+        delta: &[u8],
+    ) -> Option<(AppendCursor, Vec<U>)> {
+        if hdr.version <= version || self.len + delta.len() != hdr.len {
+            return None;
+        }
+        let next = self.extend(delta);
+        if next.check(hdr.version, &hdr.counts) != hdr.check {
+            return None;
+        }
+        let mut r = Reader::new(delta);
+        let expect = (hdr.version - version).min(delta.len() as u64) as usize;
+        let mut calls = Vec::with_capacity(expect);
+        while r.remaining() > 0 {
+            calls.push(U::decode(&mut r).ok()?);
+        }
+        (calls.len() as u64 == hdr.version - version).then_some((next, calls))
+    }
+}
+
+/// The header of an append-mode summary slot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AppendHeader {
+    /// Number of calls appended.
+    pub version: u64,
+    /// Applied-call counts per method of the group, in group order.
+    pub counts: Vec<u64>,
+    /// Payload length in bytes.
+    pub len: usize,
+    check: u64,
+}
+
+impl AppendHeader {
+    /// Parse the header at the start of `slot` (`None` for a
+    /// never-written or too-short slot).
+    pub fn parse(slot: &[u8], group_len: usize) -> Option<Self> {
+        let word = |at: usize| -> Option<u64> {
+            Some(u64::from_le_bytes(slot.get(at..at + 8)?.try_into().ok()?))
+        };
+        let version = word(0)?;
+        if version == 0 {
+            return None;
+        }
+        let counts = (0..group_len).map(|i| word(8 + 8 * i)).collect::<Option<Vec<u64>>>()?;
+        let at = 8 + 8 * group_len;
+        let len = u32::from_le_bytes(slot.get(at..at + 4)?.try_into().ok()?) as usize;
+        let check = word(at + 4)?;
+        Some(AppendHeader { version, counts, len, check })
+    }
+}
+
+/// Append `call` to the append-mode slot image in `slot` (header plus
+/// payload; an empty buffer starts a fresh image) and rewrite the
+/// header for `version` and `counts`, which must already count the
+/// call. `at` is the cursor at the end of the current payload; the
+/// cursor at the new end is returned.
+///
+/// # Panics
+///
+/// Panics if the image outgrows `slot_size` or the u32 length field.
+pub fn append_to_slot<U: Wire>(
+    slot: &mut Vec<u8>,
+    at: AppendCursor,
+    version: u64,
+    counts: &[u64],
+    call: &U,
+    slot_size: usize,
+) -> AppendCursor {
+    let head = append_head_len(counts.len());
+    if at.is_empty() {
+        slot.clear();
+        slot.resize(head, 0);
+    }
+    debug_assert_eq!(slot.len(), head + at.len, "`at` ends the image in `slot`");
+    let mut w = Writer::extending(std::mem::take(slot));
+    call.encode(&mut w);
+    *slot = w.into_vec();
+    let next = at.extend(&slot[head + at.len..]);
+    assert!(
+        next.len <= u32::MAX as usize && head + next.len <= slot_size,
+        "append payload of {} bytes exceeds slot capacity {}",
+        next.len,
+        slot_size.saturating_sub(head)
+    );
+    slot[0..8].copy_from_slice(&version.to_le_bytes());
+    for (i, c) in counts.iter().enumerate() {
+        slot[8 + 8 * i..16 + 8 * i].copy_from_slice(&c.to_le_bytes());
+    }
+    let at_len = 8 + 8 * counts.len();
+    slot[at_len..at_len + 4].copy_from_slice(&(next.len as u32).to_le_bytes());
+    slot[at_len + 4..head].copy_from_slice(&next.check(version, counts).to_le_bytes());
+    next
+}
+
+/// Parse a whole append-mode slot image from its start: the header,
+/// the cursor at the end of its payload, and every call in it. `None`
+/// for a never-written slot or one that fails its check.
+pub fn parse_append_slot<U: Wire>(
+    slot: &[u8],
+    group_len: usize,
+) -> Option<(AppendHeader, AppendCursor, Vec<U>)> {
+    let hdr = AppendHeader::parse(slot, group_len)?;
+    let head = append_head_len(group_len);
+    let payload = slot.get(head..head.checked_add(hdr.len)?)?;
+    let (cursor, calls) = AppendCursor::default().advance(0, &hdr, payload)?;
+    Some((hdr, cursor, calls))
 }
 
 /// Marker in backup slots: a conflict-free ring entry.
@@ -578,6 +764,80 @@ mod tests {
         let slot = e.to_slot(3, 128 * 1024);
         let back = Entry::<Blob>::from_slot(&slot, 3).unwrap();
         assert_eq!(back, e);
+    }
+
+    /// Three deposits appended one by one: the images and cursors a
+    /// publish ships.
+    fn append_images() -> Vec<(Vec<u8>, AppendCursor)> {
+        let mut out = Vec::new();
+        let (mut slot, mut at) = (Vec::new(), AppendCursor::default());
+        for v in 1..=3u64 {
+            at = append_to_slot(&mut slot, at, v, &[v], &Account::deposit(v * 100), 4096);
+            out.push((slot.clone(), at));
+        }
+        out
+    }
+
+    #[test]
+    fn append_slot_parses_whole_and_grows_by_prefix() {
+        let images = append_images();
+        let head = append_head_len(1);
+        assert_eq!(head, 28);
+        for (i, (img, at)) in images.iter().enumerate() {
+            let (hdr, cursor, calls) = parse_append_slot::<AccountUpdate>(img, 1).unwrap();
+            assert_eq!(hdr.version, i as u64 + 1);
+            assert_eq!(hdr.counts, vec![i as u64 + 1]);
+            assert_eq!((hdr.len, cursor), (img.len() - head, *at));
+            let want: Vec<_> = (1..=i as u64 + 1).map(|v| Account::deposit(v * 100)).collect();
+            assert_eq!(calls, want);
+        }
+        // Every image's payload is a prefix of the next one's.
+        assert!(images[2].0[head..].starts_with(&images[1].0[head..]));
+        assert!(parse_append_slot::<AccountUpdate>(&[0u8; 64], 1).is_none(), "never written");
+    }
+
+    #[test]
+    fn append_cursor_adopts_only_the_new_records() {
+        let images = append_images();
+        let head = append_head_len(1);
+        let (img, _) = &images[2];
+        let hdr = AppendHeader::parse(img, 1).unwrap();
+        let (_, at1, _) = parse_append_slot::<AccountUpdate>(&images[0].0, 1).unwrap();
+        let (end, calls) =
+            at1.advance::<AccountUpdate>(1, &hdr, &img[head + at1.len()..]).unwrap();
+        assert_eq!(end, images[2].1);
+        assert_eq!(calls, vec![Account::deposit(200), Account::deposit(300)]);
+        // Claiming the wrong starting version miscounts the records.
+        assert!(at1.advance::<AccountUpdate>(0, &hdr, &img[head + at1.len()..]).is_none());
+        // Not newer than what the reader holds.
+        assert!(at1.advance::<AccountUpdate>(3, &hdr, &img[head + at1.len()..]).is_none());
+    }
+
+    #[test]
+    fn append_check_rejects_any_stale_byte() {
+        let images = append_images();
+        let head = append_head_len(1);
+        let (img, _) = &images[2];
+        for i in 0..img.len() {
+            let mut torn = img.clone();
+            torn[i] ^= 0x01;
+            if let Some((hdr, _, calls)) = parse_append_slot::<AccountUpdate>(&torn, 1) {
+                panic!("byte {i} (head {head}) flipped yet parsed v{} {calls:?}", hdr.version);
+            }
+        }
+        // A header that landed before its records is rejected too.
+        let mut early = images[1].0.clone();
+        early[..head].copy_from_slice(&img[..head]);
+        early.resize(img.len(), 0);
+        assert!(parse_append_slot::<AccountUpdate>(&early, 1).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds slot capacity")]
+    fn append_past_capacity_panics() {
+        let mut slot = Vec::new();
+        let big = Account::deposit(1 << 40);
+        let _ = append_to_slot(&mut slot, AppendCursor::default(), 1, &[1], &big, 30);
     }
 
     #[test]

@@ -108,8 +108,14 @@ impl Layout {
         let mut sum_group_base = Vec::new();
         let mut sum_slot_size = Vec::new();
         let mut off = 0usize;
-        for g in coord.sum_groups() {
-            let slot = cfg.summary_slot_size(g.len());
+        for (gi, g) in coord.sum_groups().iter().enumerate() {
+            let slot = if coord.sum_group_appends(gi) {
+                crate::config::round_up_8(
+                    crate::codec::append_head_len(g.len()) + cfg.summary_payload_cap,
+                )
+            } else {
+                cfg.summary_slot_size(g.len())
+            };
             sum_group_base.push(off);
             sum_slot_size.push(slot);
             off += slot * n;
@@ -122,7 +128,8 @@ impl Layout {
         // group contributes `sync_shards` independent logs.
         let mapped = coord.sync_groups().len() * cfg.sync_shards.max(1);
         let heads = alloc((n + mapped).max(1) * 8, false);
-        let backup_slot_size = Self::backup_slot_size_for(cfg);
+        let widest_slot = sum_slot_size.iter().copied().max().unwrap_or(0);
+        let backup_slot_size = Self::backup_slot_size_for(cfg, widest_slot);
         let backup = alloc(cfg.backup_slots * backup_slot_size, false);
         let conf: Vec<RegionId> =
             (0..mapped).map(|_| alloc(8 + cfg.conf_ring_cap * entry_size, hard)).collect();
@@ -149,12 +156,12 @@ impl Layout {
         }
     }
 
-    fn backup_slot_size_for(cfg: &RuntimeConfig) -> usize {
+    fn backup_slot_size_for(cfg: &RuntimeConfig, widest_slot: usize) -> usize {
         // kind (1) + group (1) + seq (8) + len (2) + a full ring or
         // summary slot, whichever is larger; rounded to a multiple of
         // 8 so backup-slot strides stay word-aligned for the threaded
         // backend's atomic word storage.
-        let inner = cfg.entry_size().max(cfg.summary_slot_size(8));
+        let inner = cfg.entry_size().max(cfg.summary_slot_size(8)).max(widest_slot);
         crate::config::round_up_8(12 + inner)
     }
 

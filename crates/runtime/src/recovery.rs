@@ -16,6 +16,8 @@
 //!    down, the lowest alive node starts an election (`election.rs`
 //!    takes it from there).
 
+use std::collections::HashMap;
+
 use hamband_core::coord::MethodCategory;
 use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
@@ -23,7 +25,7 @@ use hamband_core::wire::Wire;
 use rdma_sim::{NodeId, TraceEvent};
 
 use crate::calls::Route;
-use crate::codec::{parse_backup_slot, BACKUP_FREE};
+use crate::codec::{parse_backup_slot, BACKUP_FREE, BACKUP_SUMMARY};
 use crate::driver::QuotaSplit;
 use crate::replica::HambandNode;
 use crate::transport::Transport;
@@ -129,6 +131,13 @@ where
 
     /// Re-execute a suspected source's pending broadcasts from its
     /// backup slots (the agreement half of reliable broadcast).
+    ///
+    /// Summary backups are re-broadcast newest-only per group: backup
+    /// slots are not in version order, and an older image landing last
+    /// would roll every peer's copy back past calls the newest image
+    /// carries. The newest pending version is the suspect's latest one
+    /// (a peer crediting it credits every older version too), so no
+    /// peer holds anything newer.
     pub(crate) fn recover_backups<T: Transport>(
         &mut self,
         ctx: &mut T,
@@ -136,11 +145,16 @@ where
         bytes: &[u8],
     ) {
         let (_, slot_size) = self.layout.backup_slot(0);
-        for i in 0..self.layout.backup_slots() {
-            let b = &bytes[i * slot_size..(i + 1) * slot_size];
-            let Some((kind, group, seq, slot)) = parse_backup_slot(b) else {
-                continue;
-            };
+        let slots = self.layout.backup_slots();
+        let backups = || bytes.chunks_exact(slot_size).take(slots).filter_map(parse_backup_slot);
+        let mut newest: HashMap<u8, u64> = HashMap::new();
+        for (kind, group, seq, _) in backups() {
+            if kind == BACKUP_SUMMARY {
+                let v = newest.entry(group).or_insert(seq);
+                *v = (*v).max(seq);
+            }
+        }
+        for (kind, group, seq, slot) in backups() {
             match kind {
                 BACKUP_FREE => {
                     let ring_off = self.layout.free_ring_base(suspect)
@@ -156,7 +170,7 @@ where
                         }
                     }
                 }
-                _ => {
+                _ if newest[&group] == seq => {
                     let off = self.layout.summary_offset(group as usize, suspect);
                     for q in 0..self.n {
                         if NodeId(q) == suspect {
@@ -169,6 +183,7 @@ where
                         }
                     }
                 }
+                _ => {}
             }
         }
         // The recovered slots were placed in our own copies with local

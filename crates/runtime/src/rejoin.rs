@@ -34,22 +34,20 @@
 //! retired leader would wedge convergence because peers keep its
 //! suspicion sticky.
 
-use std::collections::VecDeque;
-
 use hamband_core::coord::GroupMapper;
 use hamband_core::counts::CountMap;
-use hamband_core::ids::{MethodId, Pid};
+use hamband_core::ids::MethodId;
 use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
 use rdma_sim::{NodeId, RingKind};
 
-use crate::codec::{Entry, SummarySlot};
+use crate::codec::{append_head_len, parse_append_slot, AppendCursor, Entry, SummarySlot};
 use crate::conf::GroupEngine;
 use crate::heartbeat::{FailureDetector, Heartbeat};
 use crate::ingress::Ingress;
 use crate::messages::ControlMsg;
 use crate::persist::LogRecord;
-use crate::reduce::CachedSummary;
+use crate::reduce::{CachedSummary, SumChannel};
 use crate::replica::{HambandNode, TAG_FD, TAG_HEARTBEAT, TAG_POLL};
 use crate::rings::RingReader;
 use crate::transport::Transport;
@@ -186,30 +184,52 @@ where
         // issue). Re-post the own slot to every peer: a crash between
         // the local fence and the remote writes may have left peers one
         // version behind, and summary slots are last-writer-wins.
+        // An appending slot is parsed whole from its start: the cursor
+        // and records are rebuilt from the local copy, and the own image
+        // is re-posted in full (every peer's landed length is reset).
         for g in 0..self.sum_cache.len() {
             let group_methods: Vec<MethodId> = self.coord.sum_groups()[g].clone();
+            let glen = group_methods.len();
             for src in 0..self.n {
                 let off = self.layout.summary_offset(g, NodeId(src));
                 let size = self.layout.summary_size(g);
                 let parsed = {
                     let bytes = ctx.local(self.layout.summaries, off, size);
-                    SummarySlot::<O::Update>::from_slot(bytes, group_methods.len())
+                    if self.coord.sum_group_appends(g) {
+                        parse_append_slot::<O::Update>(bytes, glen).map(|(hdr, cursor, records)| {
+                            let cache = CachedSummary {
+                                version: hdr.version,
+                                counts: hdr.counts,
+                                summary: None,
+                                records,
+                                cursor,
+                            };
+                            (cache, append_head_len(glen) + hdr.len)
+                        })
+                    } else {
+                        SummarySlot::<O::Update>::from_slot(bytes, glen).map(|slot| {
+                            let cache = CachedSummary {
+                                version: slot.version,
+                                counts: slot.counts,
+                                summary: slot.summary,
+                                records: Vec::new(),
+                                cursor: AppendCursor::default(),
+                            };
+                            (cache, size)
+                        })
+                    }
                 };
-                let Some(slot) = parsed else { continue };
-                for (i, &m) in group_methods.iter().enumerate() {
-                    let old = self.applied.get(Pid(src), m);
-                    self.applied.set(Pid(src), m, old.max(slot.counts[i]));
-                }
-                if src == self.me.index() && slot.version > 0 {
-                    let image = ctx.local(self.layout.summaries, off, size).to_vec();
+                let Some((cache, image_len)) = parsed else { continue };
+                self.raise_applied(src, &group_methods, &cache.counts);
+                if src == self.me.index() && cache.version > 0 {
+                    let image = ctx.local(self.layout.summaries, off, image_len).to_vec();
                     for q in 0..self.n {
                         if q != self.me.index() {
                             ctx.post_write(NodeId(q), self.layout.summaries, off, &image);
                         }
                     }
                 }
-                self.sum_cache[g][src] =
-                    CachedSummary { version: slot.version, counts: slot.counts, summary: slot.summary };
+                self.sum_cache[g][src] = cache;
             }
         }
 
@@ -265,19 +285,8 @@ where
         self.spec_mat = None;
         self.applied = CountMap::new(self.n, self.coord.method_count());
         let sum_group_count = self.coord.sum_groups().len();
-        self.sum_cache = self
-            .coord
-            .sum_groups()
-            .iter()
-            .map(|g| {
-                (0..self.n)
-                    .map(|_| CachedSummary { version: 0, counts: vec![0; g.len()], summary: None })
-                    .collect()
-            })
-            .collect();
-        self.sum_inflight = (0..sum_group_count).map(|_| vec![None; self.n]).collect();
-        self.sum_waiters =
-            (0..sum_group_count).map(|_| vec![VecDeque::new(); self.n]).collect();
+        self.sum_cache = CachedSummary::table(&self.coord, self.n);
+        self.sum_chan = vec![vec![SumChannel::default(); self.n]; sum_group_count];
         self.sum_slot_buf = vec![Vec::new(); sum_group_count];
         self.free_writers.clear();
         self.free_readers.clear();

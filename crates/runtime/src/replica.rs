@@ -28,7 +28,7 @@
 //! vanish without state rollback, so even a suspended leader converges
 //! with the rest of the cluster. See DESIGN.md.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use hamband_core::coord::{CoordSpec, GroupMapper};
 use hamband_core::counts::CountMap;
@@ -49,7 +49,7 @@ use crate::layout::Layout;
 use crate::messages::ControlMsg;
 use crate::metrics::NodeMetrics;
 use crate::persist::NodeLog;
-use crate::reduce::CachedSummary;
+use crate::reduce::{CachedSummary, SumChannel};
 use crate::rings::{RingReader, RingWriter};
 use crate::transport::Transport;
 
@@ -79,18 +79,9 @@ pub struct HambandNode<O: ObjectSpec> {
     pub(crate) applied: CountMap,
     /// Summary caches per (summarization group, source).
     pub(crate) sum_cache: Vec<Vec<CachedSummary<O::Update>>>,
-    /// Write-combining: version of the summary WRITE in flight per
-    /// (summarization group, peer); `None` = the channel is idle. At
-    /// most one summary WRITE per (group, peer) is ever in flight —
-    /// further reduces only fold locally, and completion reposts the
-    /// latest slot if it moved past what landed (slots are
-    /// last-writer-wins, so this is the paper's own amortization).
-    pub(crate) sum_inflight: Vec<Vec<Option<u64>>>,
-    /// Per (summarization group, peer): calls whose summary version has
-    /// not yet landed at that peer, oldest first (`(version, call_id)`).
-    /// A completed write carrying version `v` covers every waiter with
-    /// version `<= v`.
-    pub(crate) sum_waiters: Vec<Vec<VecDeque<(u64, u64)>>>,
+    /// Write-combined broadcast state of the own summary slot per
+    /// (summarization group, peer).
+    pub(crate) sum_chan: Vec<Vec<SumChannel>>,
     /// Per summarization group: reusable encode buffer holding the
     /// latest own summary slot (the used prefix — exactly the bytes a
     /// repost must write).
@@ -191,15 +182,7 @@ where
         // ingress caps node-wide in-flight calls at the slot count no
         // matter how many sessions the spec asks for.
         let ingress = Ingress::new(&workload, &coord, mapper, me.index(), n, cfg.backup_slots);
-        let sum_cache = coord
-            .sum_groups()
-            .iter()
-            .map(|g| {
-                (0..n)
-                    .map(|_| CachedSummary { version: 0, counts: vec![0; g.len()], summary: None })
-                    .collect()
-            })
-            .collect();
+        let sum_cache = CachedSummary::table(&coord, n);
         let engines = leaders
             .iter()
             .enumerate()
@@ -226,8 +209,7 @@ where
             spec_mat: None,
             applied: CountMap::new(n, coord.method_count()),
             sum_cache,
-            sum_inflight: (0..sum_group_count).map(|_| vec![None; n]).collect(),
-            sum_waiters: (0..sum_group_count).map(|_| vec![VecDeque::new(); n]).collect(),
+            sum_chan: vec![vec![SumChannel::default(); n]; sum_group_count],
             sum_slot_buf: vec![Vec::new(); sum_group_count],
             free_writers: Vec::new(),
             free_readers: Vec::new(),
@@ -350,8 +332,8 @@ where
         data: Option<&[u8]>,
     ) {
         match route {
-            Route::SummaryWrite { group, target, version } => {
-                self.on_summary_write_done(ctx, group, target, version);
+            Route::SummaryWrite { group, target, version, len } => {
+                self.on_summary_write_done(ctx, group, target, version, len);
             }
             Route::CommitWrite { group } => {
                 self.on_commit_write_done(ctx, group, status);

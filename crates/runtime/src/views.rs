@@ -32,8 +32,8 @@ where
         let mut s = self.sigma.clone();
         for group in &self.sum_cache {
             for cache in group {
-                if let Some(sum) = &cache.summary {
-                    self.spec.apply_mut(&mut s, sum);
+                for call in cache.summary.iter().chain(&cache.records) {
+                    self.spec.apply_mut(&mut s, call);
                 }
             }
         }
@@ -67,8 +67,7 @@ where
     /// the current check view.
     pub(crate) fn permissible_now(&mut self, update: &O::Update) -> bool {
         self.refresh_mat();
-        let post = self.spec.apply(self.check_view(), update);
-        self.spec.invariant(&post)
+        self.spec.permissible(self.check_view(), update)
     }
 
     /// Rebuild the speculative view after a non-monotone summary

@@ -1,8 +1,10 @@
 //! Fault-path tests: reliable-broadcast recovery after a crash, the
 //! canary protocol under torn writes, and failure detection timing.
 
+use hamband_core::coord::CoordSpec;
 use hamband_core::counts::DepMap;
 use hamband_core::ids::{Pid, Rid};
+use hamband_runtime::chaos::{run_case, ChaosOptions};
 use hamband_runtime::codec::{compose_backup_slot, Entry, BACKUP_FREE};
 use hamband_runtime::{HambandNode, Layout, RuntimeConfig, WorkloadSpec};
 use hamband_types::{Counter, GSet};
@@ -206,5 +208,40 @@ fn leader_crash_during_election_reelects() {
     // Leadership moved past both crashed nodes to the lowest survivor.
     for i in 2..5 {
         assert_eq!(sim.app(NodeId(i)).leader_view(0), Pid(2), "node {i} leader view");
+    }
+}
+
+/// Regression, shrunk from chaos seed 53 on reducible GSet: a crashed
+/// node leaves several summary backups of one group behind, in
+/// backup-slot order rather than version order. Recovery used to
+/// re-broadcast all of them, so an older image could land last and
+/// roll survivors' copies back, leaving them with unequal states. Only
+/// the newest image per group may be re-broadcast. Both slot formats
+/// are covered: the appending one GSet declares and the
+/// last-writer-wins one every other summarization group uses.
+#[test]
+fn recovery_rebroadcasts_only_the_newest_summary_image() {
+    let g = GSet::default();
+    let lww = CoordSpec::builder(1).summarization_group([0]).build();
+    let cases = [
+        (
+            4,
+            FaultPlan::new()
+                .at(SimTime(15383), Fault::Crash(NodeId(3)))
+                .at(SimTime(26795), Fault::TornWrites(NodeId(2))),
+        ),
+        (
+            5,
+            FaultPlan::new()
+                .at(SimTime(15383), Fault::Crash(NodeId(1)))
+                .at(SimTime(104593), Fault::TornWrites(NodeId(4))),
+        ),
+    ];
+    for (nodes, plan) in cases {
+        let opts = ChaosOptions { nodes, sync_shards: 1, ..ChaosOptions::default() };
+        for coord in [g.coord_spec(), lww.clone()] {
+            let violations = run_case(&g, &coord, 53, &plan, &opts);
+            assert!(violations.is_empty(), "{nodes} nodes: {violations:?}");
+        }
     }
 }

@@ -6,7 +6,9 @@
 use hamband_core::counts::DepMap;
 use hamband_core::demo::{Account, AccountUpdate};
 use hamband_core::ids::{MethodId, Pid, Rid};
-use hamband_runtime::codec::{Entry, SummarySlot, CANARY_TRAILER};
+use hamband_runtime::codec::{
+    append_head_len, append_to_slot, AppendCursor, AppendHeader, Entry, SummarySlot, CANARY_TRAILER,
+};
 use proptest::prelude::*;
 
 fn arb_deps() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
@@ -20,8 +22,109 @@ fn arb_update() -> impl Strategy<Value = AccountUpdate> {
     ]
 }
 
+/// One append-mode reader: adopted version, cursor, and every call it
+/// applied.
+#[derive(Default)]
+struct AppendReader {
+    version: u64,
+    cursor: AppendCursor,
+    calls: Vec<AccountUpdate>,
+}
+
+/// Poll `mem` the way the runtime does (header, then the bytes past
+/// the cursor). Whatever the reader adopts must be exactly a published
+/// image: the cursor that image ends at, and precisely the calls it
+/// lacked.
+fn poll_append(
+    mem: &[u8],
+    reader: &mut AppendReader,
+    images: &[(Vec<u8>, AppendCursor)],
+    calls: &[AccountUpdate],
+) -> Result<(), TestCaseError> {
+    let head = append_head_len(2);
+    let Some(hdr) = AppendHeader::parse(mem, 2) else { return Ok(()) };
+    let from = reader.cursor.len();
+    if hdr.version <= reader.version || hdr.len < from || head + hdr.len > mem.len() {
+        return Ok(());
+    }
+    let delta = &mem[head + from..head + hdr.len];
+    if let Some((cursor, new)) = reader.cursor.advance::<AccountUpdate>(reader.version, &hdr, delta)
+    {
+        let v = hdr.version as usize;
+        prop_assert!(v <= images.len(), "adopted unpublished version {}", v);
+        prop_assert_eq!(cursor, images[v - 1].1);
+        reader.calls.extend(new);
+        prop_assert_eq!(&reader.calls[..], &calls[..v]);
+        reader.version = hdr.version;
+        reader.cursor = cursor;
+    }
+    Ok(())
+}
+
+/// Land `bytes` at `off` in two steps, cut after `cut` bytes, polling
+/// after each: the reader may observe any prefix of a WRITE.
+fn land_torn(
+    mem: &mut [u8],
+    off: usize,
+    bytes: &[u8],
+    cut: usize,
+    reader: &mut AppendReader,
+    images: &[(Vec<u8>, AppendCursor)],
+    calls: &[AccountUpdate],
+) -> Result<(), TestCaseError> {
+    let cut = cut % (bytes.len() + 1);
+    mem[off..off + cut].copy_from_slice(&bytes[..cut]);
+    poll_append(mem, reader, images, calls)?;
+    mem[off + cut..off + bytes.len()].copy_from_slice(&bytes[cut..]);
+    poll_append(mem, reader, images, calls)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Append-mode slots under every landing order the runtime can
+    /// produce: each publish is a full image or a records WRITE then a
+    /// header WRITE, either WRITE may be observed half-landed, and an
+    /// older full image (a recovery re-broadcast) may land in between.
+    /// The reader rejects the slot or adopts exactly a published
+    /// version, and it ends at the newest one.
+    #[test]
+    fn append_slot_reader_adopts_only_published_versions(
+        calls in prop::collection::vec(arb_update(), 1..10),
+        steps in prop::collection::vec((0..1_000usize, 0..1_000usize, 0..4usize, 0..100usize), 10),
+    ) {
+        let slot_size = 1024;
+        let head = append_head_len(2);
+        let mut images = Vec::new();
+        let (mut image, mut cursor) = (Vec::new(), AppendCursor::default());
+        let mut counts = vec![0u64; 2];
+        for (i, call) in calls.iter().enumerate() {
+            counts[usize::from(matches!(call, AccountUpdate::Withdraw(_)))] += 1;
+            cursor = append_to_slot(&mut image, cursor, i as u64 + 1, &counts, call, slot_size);
+            images.push((image.clone(), cursor));
+        }
+        let mut mem = vec![0u8; slot_size];
+        let mut reader = AppendReader::default();
+        let mut landed = 0usize;
+        for (i, (image, cursor)) in images.iter().enumerate() {
+            let (cut_a, cut_b, mode, older) = steps[i % steps.len()];
+            if landed == 0 || mode == 0 {
+                land_torn(&mut mem, 0, image, cut_a, &mut reader, &images, &calls)?;
+            } else {
+                let records = &image[head + landed..];
+                land_torn(&mut mem, head + landed, records, cut_a, &mut reader, &images, &calls)?;
+                land_torn(&mut mem, 0, &image[..head], cut_b, &mut reader, &images, &calls)?;
+            }
+            landed = cursor.len();
+            if mode == 3 {
+                let (old, _) = &images[older % (i + 1)];
+                land_torn(&mut mem, 0, old, cut_b, &mut reader, &images, &calls)?;
+            }
+        }
+        let (last, _) = images.last().expect("at least one call");
+        land_torn(&mut mem, 0, last, usize::MAX, &mut reader, &images, &calls)?;
+        prop_assert_eq!(reader.version, calls.len() as u64);
+    }
 
     #[test]
     fn entry_payload_roundtrips(

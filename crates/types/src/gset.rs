@@ -69,9 +69,10 @@ impl GSet {
     }
 
     /// Coordination for the reducible implementation: `add_all`
-    /// summarizes by union.
+    /// summarizes by union, so its group appends — peers receive each
+    /// call once instead of the growing set with every call.
     pub fn coord_spec(&self) -> CoordSpec {
-        CoordSpec::builder(1).summarization_group([ADD_ALL.index()]).build()
+        CoordSpec::builder(1).appending_summarization_group([ADD_ALL.index()]).build()
     }
 
     /// Coordination for the buffered ablation of Fig. 9: the same
@@ -134,6 +135,12 @@ impl ObjectSpec for GSet {
     }
 
     fn summaries_monotone(&self) -> bool {
+        true
+    }
+
+    /// The invariant is `true`, so every call is permissible — no need
+    /// to build the post-state to find out.
+    fn permissible(&self, _state: &BTreeSet<u64>, _call: &GSetUpdate) -> bool {
         true
     }
 
@@ -214,6 +221,7 @@ mod tests {
         let buf = validate(&g, &g.coord_spec_buffered(), &cfg);
         assert!(buf.is_valid(), "{buf}");
         assert!(g.coord_spec().category(ADD_ALL).is_reducible());
+        assert!(g.coord_spec().sum_group_appends(0));
         assert!(g.coord_spec_buffered().category(ADD_ALL).is_irreducible_free());
     }
 

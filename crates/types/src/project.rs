@@ -12,7 +12,8 @@
 //! cascades its assignments).
 //!
 //! Categories — this schema exercises **all three**:
-//! * `add_employees` — reducible (set union summarization);
+//! * `add_employees` — reducible (set union summarization, declared
+//!   appending so peers receive each call once);
 //! * `works_on` / `add_project` / `delete_project` — one conflicting
 //!   synchronization group (`works_on` state-conflicts with
 //!   `delete_project`, which state-conflicts with `add_project`);
@@ -91,7 +92,7 @@ impl Project {
             .conflict(DELETE_PROJECT.index(), WORKS_ON.index())
             .depends(WORKS_ON.index(), ADD_PROJECT.index())
             .depends(WORKS_ON.index(), ADD_EMPLOYEES.index())
-            .summarization_group([ADD_EMPLOYEES.index()])
+            .appending_summarization_group([ADD_EMPLOYEES.index()])
             .build()
     }
 }

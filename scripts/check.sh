@@ -86,6 +86,10 @@ HAMBAND_SYNC_SHARDS=4 ./target/release/chaos --seeds 16
 echo "== chaos smoke, crash-restart (50 seeds, persist log + rejoin) =="
 ./target/release/chaos --seeds 50 --restarts
 
+echo "== chaos smoke, reducible GSet (16 seeds each, crash-stop and crash-restart) =="
+./target/release/chaos --seeds 16 --object gset
+./target/release/chaos --seeds 16 --object gset --restarts
+
 echo "== chaos canary self-test =="
 ./target/release/chaos --seeds 16 --canary
 

@@ -1,12 +1,11 @@
 //! Cross-backend transport conformance suite.
 //!
 //! The same `HambandNode` state machine runs over three transports
-//! (simulator, loopback, threaded); the simulator's behaviour is
-//! pinned elsewhere (golden trace fingerprints, chaos campaigns), so
-//! this suite pins the other two: for each object shape — reducible
-//! (Counter), conflicting (Bank), buffered conflict-free with
-//! state-aware updates (OrSet) — and each cluster size 3..=5, a run
-//! must
+//! (simulator, loopback, threaded); for each object shape — reducible
+//! with a last-writer-wins summary (Counter), reducible with an
+//! appending summary (GSet), conflicting (Bank), buffered
+//! conflict-free with state-aware updates (OrSet) — each transport and
+//! each cluster size 3..=5, a run must
 //!
 //! 1. **converge**: every replica ends with the same applied-call
 //!    count, the same per-(node, method) applied map, and the same
@@ -20,7 +19,8 @@
 //! The threaded runs execute on real OS threads over shared atomic
 //! memory, so under `-Zsanitizer=thread` this suite doubles as the
 //! data-race gate for the `threaded` backend's word-level publication
-//! discipline.
+//! discipline — GSet's two-WRITE publish (records, then header)
+//! included.
 //!
 //! Leadership failover is exercised on the loopback backend (the
 //! threaded backend injects no faults): suspend the heartbeat of a
@@ -34,10 +34,10 @@ use hamband_core::counts::CountMap;
 use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
 use hamband_runtime::{
-    HambandNode, LoopbackCluster, RuntimeConfig, ThreadedCluster, WorkloadSpec,
+    HambandNode, Layout, LoopbackCluster, RuntimeConfig, ThreadedCluster, WorkloadSpec,
 };
-use hamband_types::{Bank, Counter, OrSet};
-use rdma_sim::{AppFault, SimDuration, SimTime};
+use hamband_types::{Bank, Counter, GSet, OrSet};
+use rdma_sim::{AppFault, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
 
 /// What the conformance checks need from one finished replica.
 struct NodeObs<S> {
@@ -86,6 +86,42 @@ fn check<S: PartialEq + std::fmt::Debug>(obs: &[NodeObs<S>], what: &str) {
     }
 }
 
+fn run_sim<O>(spec: &O, coord: &CoordSpec, n: usize, workload: WorkloadSpec, what: &str)
+where
+    O: WorkloadSupport + Clone,
+    O::Update: Wire,
+{
+    let cfg = RuntimeConfig::default();
+    let mut sim: Simulator<HambandNode<O>> = Simulator::new(n, LatencyModel::default(), 0xc0f);
+    let layout = Layout::install(&mut sim, coord, &cfg);
+    let leaders = coord.default_leaders(n);
+    sim.set_apps(|id| {
+        HambandNode::new(
+            spec.clone(),
+            coord.clone(),
+            cfg.clone(),
+            layout.clone(),
+            id,
+            n,
+            &leaders,
+            workload.clone(),
+        )
+    });
+    let done = |sim: &Simulator<HambandNode<O>>| (0..n).all(|i| sim.app(NodeId(i)).workload_done());
+    while !done(&sim) && sim.now() < SimTime(500_000_000) {
+        sim.run_for(SimDuration::micros(50));
+    }
+    // Let the last summary writes land and be polled.
+    sim.run_for(SimDuration::millis(1));
+    assert!(
+        done(&sim),
+        "{what}: simulated cluster did not converge: {}",
+        (0..n).map(|i| sim.app(NodeId(i)).status().to_string()).collect::<Vec<_>>().join(" | "),
+    );
+    let obs: Vec<_> = (0..n).map(|i| observe(sim.app(NodeId(i)))).collect();
+    check(&obs, what);
+}
+
 fn run_loopback<O>(spec: &O, coord: &CoordSpec, n: usize, workload: WorkloadSpec, what: &str)
 where
     O: WorkloadSupport + Clone,
@@ -117,15 +153,17 @@ where
     check(&obs, what);
 }
 
-/// One object across both backends and cluster sizes 3..=5.
-fn conform<O>(spec: &O, coord: &CoordSpec, name: &str)
+/// One object across the three backends and cluster sizes 3..=5,
+/// with `ops` calls per run.
+fn conform<O>(spec: &O, coord: &CoordSpec, name: &str, ops: u64)
 where
     O: WorkloadSupport + Clone + Send,
     O::Update: Wire + Send,
     O::State: Send,
 {
     for n in 3..=5 {
-        let workload = WorkloadSpec::ops(240).with_update_ratio(0.6).with_seed(90 + n as u64);
+        let workload = WorkloadSpec::ops(ops).with_update_ratio(0.6).with_seed(90 + n as u64);
+        run_sim(spec, coord, n, workload.clone(), &format!("{name}/sim/n={n}"));
         run_loopback(spec, coord, n, workload.clone(), &format!("{name}/loopback/n={n}"));
         run_threaded(spec, coord, n, workload, &format!("{name}/threaded/n={n}"));
     }
@@ -134,19 +172,28 @@ where
 #[test]
 fn counter_conforms_across_backends() {
     let c = Counter::default();
-    conform(&c, &c.coord_spec(), "counter");
+    conform(&c, &c.coord_spec(), "counter", 240);
+}
+
+/// Enough calls that each node's appended payload outgrows the
+/// full-image threshold (about 850 B at the default latency model), so
+/// publishes take the two-WRITE path.
+#[test]
+fn gset_conforms_across_backends() {
+    let g = GSet::default();
+    conform(&g, &g.coord_spec(), "gset", 1_500);
 }
 
 #[test]
 fn bank_conforms_across_backends() {
     let b = Bank::default();
-    conform(&b, &b.coord_spec(), "bank");
+    conform(&b, &b.coord_spec(), "bank", 240);
 }
 
 #[test]
 fn orset_conforms_across_backends() {
     let o = OrSet::default();
-    conform(&o, &o.coord_spec(), "orset");
+    conform(&o, &o.coord_spec(), "orset", 240);
 }
 
 /// Multi-session ingress over both backends: flat-combining must not
