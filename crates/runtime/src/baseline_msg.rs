@@ -22,6 +22,7 @@ use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 use rdma_sim::{App, AppFault, Ctx, Event, NodeId, Phase, SimTime, TraceEvent};
 
 use crate::codec::Entry;
+use crate::config::DEFAULT_POLL_INTERVAL;
 use crate::driver::{Planned, WorkloadSpec};
 use crate::ingress::Ingress;
 use crate::metrics::NodeMetrics;
@@ -185,6 +186,8 @@ where
         if self.halted {
             return;
         }
+        // The same combining quantum as Hamband's pump.
+        self.ingress.begin_round(DEFAULT_POLL_INTERVAL, ctx.latency().apply_cost);
         loop {
             let planned = self.ingress.next(&self.spec, &self.state, &self.coord, &[], &[]);
             match planned {
@@ -308,7 +311,9 @@ where
         match event {
             Event::Timer { tag: TAG_PUMP, .. } => {
                 self.pump(ctx);
-                ctx.set_timer(rdma_sim::SimDuration::micros(2), TAG_PUMP);
+                // One quantum after this pump started: a round that
+                // used its quantum ends at or after this deadline.
+                ctx.set_timer(DEFAULT_POLL_INTERVAL, TAG_PUMP);
             }
             Event::Timer { .. } => {}
             Event::Message { payload, .. } => match Frame::<O::Update>::decode(&payload) {

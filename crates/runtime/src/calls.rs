@@ -73,9 +73,10 @@ where
 {
     /// The flat-combining drain: act as the combiner for the node's
     /// client sessions, planning and issuing their calls round-robin
-    /// until the ingress yields (or an impermissible streak suggests
-    /// waiting for the views to move), then flush the whole combined
-    /// burst as coalesced ring appends.
+    /// until the ingress yields (windows full, quotas spent, or the
+    /// round's query quantum used up) or an impermissible streak
+    /// suggests waiting for the views to move, then flush the whole
+    /// combined burst as coalesced ring appends.
     pub(crate) fn pump<T: Transport>(&mut self, ctx: &mut T) {
         if self.halted {
             return;
@@ -84,6 +85,9 @@ where
         // Open loop: move every arrival whose Poisson timestamp has
         // passed into the ingress's releasable pool. Closed loop: no-op.
         self.ingress.release_arrivals(ctx.now());
+        // One poll interval of queries per round: the next poll or ack
+        // continues where this round stops.
+        self.ingress.begin_round(self.cfg.poll_interval, ctx.latency().apply_cost);
         let mut reject_streak = 0u32;
         loop {
             let is_leader: Vec<bool> =

@@ -4,6 +4,11 @@ use rdma_sim::SimDuration;
 
 use crate::persist::DurabilityMode;
 
+/// Default [`RuntimeConfig::poll_interval`]; also the MSG baseline's
+/// pump period and combining quantum (see
+/// [`Ingress::begin_round`](crate::Ingress::begin_round)).
+pub(crate) const DEFAULT_POLL_INTERVAL: SimDuration = SimDuration::nanos(800);
+
 /// Tuning for a Hamband cluster (buffer geometry, protocol timers,
 //  workload pacing).
 #[derive(Debug, Clone)]
@@ -87,7 +92,7 @@ impl Default for RuntimeConfig {
             free_ring_cap: 256,
             conf_ring_cap: 512,
             backup_slots: 64,
-            poll_interval: SimDuration::nanos(800),
+            poll_interval: DEFAULT_POLL_INTERVAL,
             poll_cost: SimDuration::nanos(40),
             heartbeat_interval: SimDuration::micros(5),
             fd_interval: SimDuration::micros(8),

@@ -4,7 +4,7 @@
 //! one issuing stream per node — nowhere near "thousands of users per
 //! replica". Flat combining (node-replication style) fixes this without
 //! concurrency inside the replica: each node owns an [`Ingress`]
-//! holding a slot array of [`ClientSession`]s, and the replica's pump
+//! holding a slot array of client sessions, and the replica's pump
 //! acts as the *combiner* — each iteration it drains whichever sessions
 //! can act, routes their operations through the normal protocol paths
 //! (REDUCE/FREE/CONF), and the whole burst lands in the write-combined
@@ -57,20 +57,12 @@ const FORFEIT_AFTER: u64 = 2_000;
 const ROUTE_TRIES: usize = 32;
 
 /// RNG seed of session `s` on `node`: a splitmix64 chain over
-/// `(seed, node, session)`.
-///
-/// The previous scheme —
-/// `seed ^ node·0x9e3779b97f4a7c15 ^ s·0xff51afd7ed558ccd` — was a xor
-/// of per-coordinate *linear* terms, so distinct `(node, session)`
-/// pairs whose terms xor to the same value fed identical RNG streams
-/// (e.g. any pair of nodes whose constant-multiples differ by the same
-/// xor as a pair of session-multiples). Chaining through the
-/// [`mix64`] finalizer avalanches each coordinate before the next is
-/// folded in, which removes the structural collisions.
+/// `(seed, node, session)`. Chaining through the [`mix64`] finalizer
+/// avalanches each coordinate before the next is folded in, so
+/// distinct `(node, session)` pairs never share a stream (a xor of
+/// per-coordinate linear terms did).
 fn session_seed(seed: u64, node: usize, session: u64) -> u64 {
-    let mut h = mix64(seed);
-    h = mix64(h ^ node as u64);
-    mix64(h ^ session)
+    mix64(mix64(mix64(seed) ^ node as u64) ^ session)
 }
 
 /// Open-loop client arrivals: a Poisson process at the node's share of
@@ -146,25 +138,18 @@ impl SessionStats {
 /// window and completion stats. Owned by the [`Ingress`]; the combiner
 /// (the replica pump) is the only code that touches it.
 #[derive(Debug)]
-pub struct ClientSession {
+struct ClientSession {
+    /// Update-vs-query choice and query sampling.
     rng: StdRng,
+    /// Method choice and update generation only, so the k-th update
+    /// does not depend on how many queries (or which round
+    /// boundaries) came before it.
+    update_rng: StdRng,
     /// Updates this session has in flight.
     outstanding: usize,
     /// Max outstanding updates for this session.
     window: usize,
     stats: SessionStats,
-}
-
-impl ClientSession {
-    /// This session's completion stats.
-    pub fn stats(&self) -> &SessionStats {
-        &self.stats
-    }
-
-    /// Updates this session currently has in flight.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
-    }
 }
 
 /// The per-node flat-combining ingress: session slots plus the node's
@@ -181,10 +166,8 @@ pub struct Ingress {
     rotation: std::collections::VecDeque<u32>,
     /// Remaining local query quota (node-level, shared by sessions).
     queries_left: u64,
-    initial_queries: u64,
     /// Remaining local update quota per conflict-free method.
     free_left: Vec<u64>,
-    initial_free: Vec<u64>,
     /// Global conflicting quota per sync group (consumed by leaders;
     /// progress is measured against the group ring's appended count).
     conf_target: Vec<u64>,
@@ -206,11 +189,14 @@ pub struct Ingress {
     halted: bool,
     /// Open-loop arrival process (`None` = classic closed loop).
     open_loop: Option<OpenLoop>,
+    /// Queries the current combining round may still plan
+    /// ([`Ingress::begin_round`]); unbounded until a round begins.
+    round_queries: u64,
 }
 
 impl Ingress {
     /// Build the ingress for `node` of `n`: the §5 quota split plus one
-    /// seeded [`ClientSession`] per `spec.sessions`. `max_inflight`
+    /// seeded client session per `spec.sessions`. `max_inflight`
     /// bounds total in-flight calls (pass the backup-ring slot count;
     /// backends without backup slots pass `usize::MAX`).
     pub fn new(
@@ -224,8 +210,11 @@ impl Ingress {
         assert!(max_inflight >= 1, "need room for at least one in-flight call");
         let split = QuotaSplit::for_node(spec, coord, node, n);
         let sessions: Vec<ClientSession> = (0..spec.sessions)
-            .map(|s| ClientSession {
-                rng: StdRng::seed_from_u64(session_seed(spec.seed, node, s as u64)),
+            .map(|s| session_seed(spec.seed, node, s as u64))
+            .map(|seed| ClientSession {
+                rng: StdRng::seed_from_u64(seed),
+                // One more splitmix step starts an unrelated stream.
+                update_rng: StdRng::seed_from_u64(mix64(seed)),
                 outstanding: 0,
                 window: spec.window,
                 stats: SessionStats::default(),
@@ -256,8 +245,6 @@ impl Ingress {
             rotation: (0..sessions.len() as u32).collect(),
             sessions,
             queries_left: split.queries,
-            initial_queries: split.queries,
-            initial_free: split.free.clone(),
             free_left: split.free,
             conf_target: split.conf_target,
             inflight: 0,
@@ -268,7 +255,19 @@ impl Ingress {
             dry_streak: 0,
             halted: false,
             open_loop,
+            round_queries: u64::MAX,
         }
+    }
+
+    /// Start a combining round: [`Ingress::next`] plans queries until
+    /// they cost one `quantum` of CPU at `query_cost` each (rounded up,
+    /// so a full round consumes at least the quantum), then returns
+    /// `None` until the next round. Updates are not counted. The pump
+    /// passes its poll interval: a round that fills it ends at or after
+    /// the next poll deadline, so yielding never idles the CPU.
+    pub fn begin_round(&mut self, quantum: SimDuration, query_cost: SimDuration) {
+        let cost = query_cost.as_nanos().max(1);
+        self.round_queries = quantum.as_nanos().div_ceil(cost).max(1);
     }
 
     /// Release every open-loop arrival due at `now` (no-op for closed
@@ -295,16 +294,6 @@ impl Ingress {
         self.open_loop.as_ref().map_or(0, |ol| ol.pending.len())
     }
 
-    /// Number of session slots.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// The session slots (stats, windows) for harness accounting.
-    pub fn sessions(&self) -> &[ClientSession] {
-        &self.sessions
-    }
-
     /// Snapshot of every session's completion stats.
     pub fn session_stats(&self) -> Vec<SessionStats> {
         self.sessions.iter().map(|s| s.stats).collect()
@@ -322,24 +311,9 @@ impl Ingress {
         self.mapper
     }
 
-    /// The conflict-free quota method `m` started with at this node.
-    pub fn initial_free_quota(&self, m: usize) -> u64 {
-        self.initial_free[m]
-    }
-
-    /// The query quota this node started with.
-    pub fn initial_queries(&self) -> u64 {
-        self.initial_queries
-    }
-
     /// Stop issuing (the node was "failed" by the fault plan).
     pub fn halt(&mut self) {
         self.halted = true;
-    }
-
-    /// Whether the ingress was halted.
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// Adopt part of a failed peer's conflict-free quota ("after a
@@ -413,7 +387,7 @@ impl Ingress {
         is_leader_of: &[bool],
         ring_appended: &[u64],
     ) -> Option<SessionPlan<O>> {
-        if self.halted {
+        if self.halted || self.round_queries == 0 {
             return None;
         }
         // Open loop: only plan while a released arrival is waiting —
@@ -475,6 +449,7 @@ impl Ingress {
             };
             if !pick_update {
                 self.queries_left -= 1;
+                self.round_queries -= 1;
                 self.dry_streak = 0;
                 let sess = &mut self.sessions[s];
                 sess.stats.queries += 1;
@@ -488,7 +463,7 @@ impl Ingress {
             let mut tries = candidates.clone();
             while !tries.is_empty() {
                 let total: u64 = tries.iter().map(|&(_, w)| w).sum();
-                let mut pick = self.sessions[s].rng.gen_range(0..total);
+                let mut pick = self.sessions[s].update_rng.gen_range(0..total);
                 let idx = tries
                     .iter()
                     .position(|&(_, w)| {
@@ -517,7 +492,7 @@ impl Ingress {
                 for _ in 0..ROUTE_TRIES {
                     let sess = &mut self.sessions[s];
                     let Some(u) =
-                        spec.gen_update_skewed(state, node, seq, method, &mut sess.rng, skew)
+                        spec.gen_update_skewed(state, node, seq, method, &mut sess.update_rng, skew)
                     else {
                         break;
                     };
@@ -532,7 +507,11 @@ impl Ingress {
                 }
                 if let Some(u) = generated {
                     self.next_seq += 1;
-                    self.charge(coord, method);
+                    // Conflicting quota is global, measured against
+                    // the ring; only the local quota is charged here.
+                    if route_group.is_none() {
+                        self.free_left[method.index()] -= 1;
+                    }
                     self.inflight += 1;
                     let sess = &mut self.sessions[s];
                     sess.outstanding += 1;
@@ -568,18 +547,6 @@ impl Ingress {
         }
         // Every session's window is full and there are no queries left.
         None
-    }
-
-    fn charge(&mut self, coord: &CoordSpec, method: MethodId) {
-        match coord.category(method) {
-            MethodCategory::Conflicting { .. } => {
-                // Global quota is measured against the ring; nothing to
-                // decrement locally.
-            }
-            _ => {
-                self.free_left[method.index()] -= 1;
-            }
-        }
     }
 }
 
@@ -691,15 +658,12 @@ mod tests {
         let w = WorkloadSpec::ops(100).with_update_ratio(1.0).with_window(64);
         let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
         let state = 1_000i128;
-        let mut saw_withdraw = false;
         while let Some((s, p)) = ing.next(&acc, &state, &coord, &[false], &[0]) {
             if let Planned::Update(u) = p {
                 assert!(matches!(u, hamband_core::demo::AccountUpdate::Deposit(_)));
-                saw_withdraw |= matches!(u, hamband_core::demo::AccountUpdate::Withdraw(_));
                 ing.on_ack(s, 100);
             }
         }
-        assert!(!saw_withdraw);
     }
 
     #[test]
@@ -721,7 +685,7 @@ mod tests {
         let before = ing.free_left[0];
         ing.adopt_free_quota(&[10, 0], 5);
         assert_eq!(ing.free_left[0], before + 10);
-        assert!(ing.sessions().iter().all(|s| s.window == 16), "windows doubled");
+        assert!(ing.sessions.iter().all(|s| s.window == 16), "windows doubled");
         assert_eq!(ing.inflight_cap, 32);
     }
 
@@ -833,6 +797,59 @@ mod tests {
         assert_eq!(rts.iter().sum::<u64>(), 6_000);
         assert!((stats[a as usize].mean_rt_us() - 2.0).abs() < 1e-9);
         assert_eq!(stats[a as usize].completed(), 1);
+    }
+
+    /// The update sequence of one window-1 session planned `per_round`
+    /// queries per round, its update (if any) acked at each round's end.
+    fn updates_with_round_size(per_round: u64) -> Vec<hamband_types::counter::CounterUpdate> {
+        let c = hamband_types::Counter::default();
+        let coord = c.coord_spec();
+        let w = WorkloadSpec::ops(400).with_update_ratio(0.5).with_window(1).with_seed(5);
+        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
+        let mut updates = Vec::new();
+        while !ing.local_done() {
+            ing.begin_round(SimDuration(per_round * 150), SimDuration(150));
+            while let Some((_, p)) = ing.next(&c, &0i64, &coord, &[], &[]) {
+                if let Planned::Update(u) = p {
+                    updates.push(u);
+                }
+            }
+            if ing.outstanding() > 0 {
+                ing.on_ack(0, 1_000);
+            }
+        }
+        updates
+    }
+
+    #[test]
+    fn update_stream_is_independent_of_round_boundaries() {
+        let one = updates_with_round_size(1);
+        assert_eq!(one.len(), 200);
+        assert_eq!(one, updates_with_round_size(3), "k-th update depends on round size");
+    }
+
+    #[test]
+    fn full_windows_round_plans_one_quantum_of_queries() {
+        let acc = Account::new(10);
+        let coord = account_coord();
+        let w = WorkloadSpec::ops(10_000).with_update_ratio(0.5).with_sessions(4).with_window(2);
+        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
+        let state = 1_000i128;
+        // No round begun: unbounded, so fill every window.
+        while ing.outstanding() < 8 {
+            ing.next(&acc, &state, &coord, &[true], &[0]).expect("room to plan");
+        }
+        let quantum = crate::RuntimeConfig::default().poll_interval;
+        let cost = rdma_sim::LatencyModel::default().apply_cost;
+        for _ in 0..3 {
+            ing.begin_round(quantum, cost);
+            let mut planned = 0;
+            while let Some((_, p)) = ing.next(&acc, &state, &coord, &[true], &[0]) {
+                assert!(matches!(p, Planned::Query(_)), "windows are full");
+                planned += 1;
+            }
+            assert_eq!(planned, 6, "⌈800 ns / 150 ns⌉ queries per round");
+        }
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub use conf::{GroupEngine, LeaderState, Role};
 pub use config::RuntimeConfig;
 pub use driver::{Planned, QuotaSplit, WorkloadSpec};
 pub use harness::{Backend, NodeEndState, RunConfig, RunOutcome, Runner, System, TraceMode};
-pub use ingress::{ClientSession, Ingress, SessionStats};
+pub use ingress::{Ingress, SessionStats};
 pub use layout::Layout;
 pub use loopback::{LoopbackCluster, LoopbackCtx};
 pub use membership::Membership;

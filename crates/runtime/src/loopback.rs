@@ -324,8 +324,8 @@ where
 
     /// Run the cluster's event loop until every replica reports
     /// [`workload_done`](HambandNode::workload_done) and all state
-    /// snapshots agree, or until virtual time passes `limit`. Returns
-    /// whether the cluster converged.
+    /// snapshots and applied-call maps agree, or until virtual time
+    /// passes `limit`. Returns whether the cluster converged.
     pub fn run_to_convergence(&mut self, limit: SimDuration) -> bool
     where
         O::State: PartialEq,
@@ -409,9 +409,13 @@ where
     where
         O::State: PartialEq,
     {
+        // Equal states alone are not enough: calls that cancel out
+        // (an OR-set add and its remove) leave equal states on replicas
+        // that have not yet applied each other's calls.
         let done = self.nodes.iter().all(|n| n.workload_done());
         let s0 = self.nodes[0].state_snapshot();
-        done && self.nodes.iter().all(|n| n.state_snapshot() == s0)
+        let m0 = self.nodes[0].applied_map();
+        done && self.nodes.iter().all(|n| n.state_snapshot() == s0 && n.applied_map() == m0)
     }
 
     /// Current virtual time of the loopback clock.
@@ -450,6 +454,28 @@ mod tests {
         for i in 1..3 {
             assert_eq!(cluster.node(i).applied_updates(), total);
             assert_eq!(cluster.node(i).applied_map(), cluster.node(0).applied_map());
+        }
+    }
+
+    /// Regression: OR-set calls cancel out, so at n=4 with this seed
+    /// every replica's state equals the empty set while each has applied
+    /// only its own calls. Convergence must also wait for equal
+    /// applied-call maps, i.e. until every acked call is applied
+    /// everywhere.
+    #[test]
+    fn convergence_waits_for_applied_maps_not_just_equal_states() {
+        let spec = hamband_types::OrSet::default();
+        let coord = spec.coord_spec();
+        let workload = WorkloadSpec::ops(240).with_update_ratio(0.6).with_seed(94);
+        let mut cluster =
+            LoopbackCluster::new(4, &spec, &coord, RuntimeConfig::default(), workload);
+        assert!(cluster.run_to_convergence(SimDuration::millis(500)));
+        let acked: u64 = (0..4)
+            .flat_map(|i| cluster.node(i).session_stats())
+            .map(|s| s.acked)
+            .sum();
+        for i in 0..4 {
+            assert_eq!(cluster.node(i).applied_updates(), acked, "node {i}");
         }
     }
 

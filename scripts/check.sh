@@ -35,6 +35,9 @@ HAMBAND_MAX_BATCH=1 cargo test -q
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
+echo "== benchmark package tests (Runner parity, determinism, tracing transparency) =="
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
